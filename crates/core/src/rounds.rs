@@ -30,7 +30,11 @@
 //!   [`GatherDecide`] (host-keyed), which reconstruct each node's view
 //!   **bit-identically** to [`View::collect`], so randomized algorithms
 //!   and deciders produce the same verdicts through messages as through
-//!   ball extraction with the same seed.
+//!   ball extraction with the same seed. Their messages share knowledge
+//!   copy-on-write ([`FullGatherState`]): a message costs reference-count
+//!   bumps, and a node copies only when it learns something new or a
+//!   Byzantine sender forges it. Per-host labels and degree are shared
+//!   outright, because adversaries forge identities only.
 
 use crate::algorithm::{Coins, LocalAlgorithm, RandomizedLocalAlgorithm};
 use crate::config::{Instance, IoConfig};
@@ -44,6 +48,7 @@ use rayon::prelude::*;
 use rlnc_graph::{Ball, Graph, GraphBuilder, IdAssignment, NodeId};
 use rlnc_obs::{LazyCounter, LazyHistogram, Section, POW2_BUCKETS};
 use std::borrow::Cow;
+use std::sync::Arc;
 
 // Round-backend observability. Message counts are functions of the
 // algorithm, graph, and fault schedule alone (each trial's rounds run
@@ -122,38 +127,47 @@ pub trait MessagePassingAlgorithm: Sync {
 
 /// Precomputed delivery map of a graph, reusable across executions.
 ///
-/// For the edge `(v, w)` seen from `v`'s port `p`, `reverse_port[v][p]` is
-/// the index of `v` in `w`'s neighbor list — so delivering `w`'s message
-/// to `v` is O(1) per message.
+/// For the edge `(v, w)` seen from `v`'s port `p`, the map holds the index
+/// of `v` in `w`'s neighbor list — so delivering `w`'s message to `v` is
+/// O(1) per message. The ports of all nodes sit in one flat array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundTopology {
-    reverse_port: Vec<Vec<usize>>,
+    /// `offsets[v]..offsets[v + 1]` are `v`'s ports in `reverse_port`.
+    offsets: Vec<u32>,
+    reverse_port: Vec<u32>,
 }
 
 impl RoundTopology {
     /// Builds the delivery map of `graph` (one pass over the adjacency).
     pub fn new(graph: &Graph) -> RoundTopology {
-        let reverse_port = (0..graph.node_count())
-            .map(|vi| {
-                let v = NodeId::from_index(vi);
-                graph
-                    .neighbor_ids(v)
-                    .map(|w| {
-                        graph
-                            .neighbors(w)
-                            .iter()
-                            .position(|&x| x == v.0)
-                            .expect("adjacency must be symmetric")
-                    })
-                    .collect()
-            })
-            .collect();
-        RoundTopology { reverse_port }
+        let mut offsets = Vec::with_capacity(graph.node_count() + 1);
+        offsets.push(0);
+        let mut reverse_port = Vec::with_capacity(graph.degree_sum());
+        for v in graph.nodes() {
+            reverse_port.extend(graph.neighbor_ids(v).map(|w| {
+                let back = graph
+                    .neighbors(w)
+                    .iter()
+                    .position(|&x| x == v.0)
+                    .expect("adjacency must be symmetric");
+                u32::try_from(back).expect("degree fits in u32")
+            }));
+            offsets.push(u32::try_from(reverse_port.len()).expect("edge count fits in u32"));
+        }
+        RoundTopology {
+            offsets,
+            reverse_port,
+        }
     }
 
     /// Number of nodes the topology covers.
     pub fn node_count(&self) -> usize {
-        self.reverse_port.len()
+        self.offsets.len() - 1
+    }
+
+    /// The index of `v` in the neighbor list of `v`'s `port`-th neighbor.
+    fn reverse_port(&self, v: usize, port: usize) -> usize {
+        self.reverse_port[self.offsets[v] as usize + port] as usize
     }
 }
 
@@ -300,7 +314,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
         let algo = self.algo;
         let faults = self.faults;
         let adversary = self.adversary;
-        let reverse_port = &self.topology.reverse_port;
+        let topology = &*self.topology;
 
         // Phase 1: every live node prepares its outgoing messages; the
         // adversary rewrites Byzantine senders' with (node, round)-keyed
@@ -355,7 +369,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
                             let sent = outgoing[w.index()]
                                 .as_ref()
                                 .expect("fault-free nodes always send");
-                            sent[reverse_port[vi][port]].clone()
+                            sent[topology.reverse_port(vi, port)].clone()
                         })
                         .collect();
                     algo.receive(states[vi].clone(), round, &incoming)
@@ -368,7 +382,7 @@ impl<'a, M: MessagePassingAlgorithm> RoundSystem<'a, M> {
                         .map(|(port, w)| {
                             outgoing[w.index()]
                                 .as_ref()
-                                .map(|sent| sent[reverse_port[vi][port]].clone())
+                                .map(|sent| sent[topology.reverse_port(vi, port)].clone())
                         })
                         .collect();
                     algo.receive_partial(states[vi].clone(), round, &incoming)
@@ -575,6 +589,17 @@ pub fn run_via_message_passing<A: LocalAlgorithm + ?Sized>(
 /// them — every identity universe in the repo is far below `2^40`.
 const FORGED_ID_BASE: u64 = 1 << 40;
 
+/// The facts about one host that no adversary forges — its labels and
+/// degree. Made once per host at `init` and shared by every record of it,
+/// so copying a record never copies label bytes. Sharing is exact because
+/// [`RelabelAdversary`] rewrites identities only.
+#[derive(Debug, PartialEq, Eq)]
+struct HostFacts {
+    input: Label,
+    output: Label,
+    degree: usize,
+}
+
 /// What the host-keyed full-information gather knows about one remote
 /// node: its host index (the coin-stream key), identity, labels, and
 /// degree.
@@ -582,24 +607,66 @@ const FORGED_ID_BASE: u64 = 1 << 40;
 pub struct HostInfo {
     host: NodeId,
     id: u64,
-    input: Label,
-    output: Label,
-    degree: usize,
+    facts: Arc<HostFacts>,
 }
 
 /// State (and message) of the host-keyed full-information gather used by
 /// [`GatherRun`] and [`GatherDecide`]: everything learned so far, keyed
 /// by host index so the center can reconstruct its view — including every
 /// node's private coin stream — bit-identically to [`View::collect`].
+///
+/// Knowledge is shared copy-on-write: sending the state on a port, or
+/// cloning it on delivery, bumps two reference counts, and a real copy is
+/// made only when a node learns something new or a Byzantine sender's
+/// message is forged.
 #[derive(Debug, Clone)]
 pub struct FullGatherState {
     own: NodeId,
-    nodes: Vec<HostInfo>,
-    /// Edges between known nodes as (smaller, larger) host-index pairs.
-    /// Invariant: both endpoints appear in `nodes` (merging copies a
-    /// message's nodes wholesale, and adversaries rewrite identities, not
-    /// structure).
-    edges: Vec<(NodeId, NodeId)>,
+    /// Known nodes, sorted by host index, one record per host.
+    nodes: Arc<Vec<HostInfo>>,
+    /// Edges between known nodes as (smaller, larger) host-index pairs,
+    /// sorted and duplicate-free. Invariant: both endpoints appear in
+    /// `nodes` (merging copies a message's nodes wholesale, and
+    /// adversaries rewrite identities, not structure).
+    edges: Arc<Vec<(NodeId, NodeId)>>,
+}
+
+/// Merges the sorted, duplicate-free `theirs` into the sorted,
+/// duplicate-free `ours` by `key`, keeping `ours`'s entry on a key
+/// conflict. Returns `None` without allocating when `theirs` adds nothing
+/// — the common case once a node has learned its whole ball.
+fn merge_sorted<T: Clone, K: Ord>(
+    ours: &[T],
+    theirs: &[T],
+    key: impl Fn(&T) -> K,
+) -> Option<Vec<T>> {
+    let mut merged: Option<Vec<T>> = None;
+    let mut a = 0;
+    for t in theirs {
+        let k = key(t);
+        let start = a;
+        while a < ours.len() && key(&ours[a]) < k {
+            a += 1;
+        }
+        if let Some(m) = &mut merged {
+            m.extend_from_slice(&ours[start..a]);
+        }
+        if a < ours.len() && key(&ours[a]) == k {
+            // Ours wins; it is copied with the next run (or the tail).
+            continue;
+        }
+        merged
+            .get_or_insert_with(|| {
+                let mut m = Vec::with_capacity(ours.len() + theirs.len());
+                m.extend_from_slice(&ours[..a]);
+                m
+            })
+            .push(t.clone());
+    }
+    if let Some(m) = &mut merged {
+        m.extend_from_slice(&ours[a..]);
+    }
+    merged
 }
 
 impl FullGatherState {
@@ -610,40 +677,58 @@ impl FullGatherState {
         );
         FullGatherState {
             own: node.node,
-            nodes: vec![HostInfo {
+            nodes: Arc::new(vec![HostInfo {
                 host: node.node,
                 id: node.id,
-                input: node.input.clone(),
-                output,
-                degree: node.degree,
-            }],
-            edges: Vec::new(),
+                facts: Arc::new(HostFacts {
+                    input: node.input.clone(),
+                    output,
+                    degree: node.degree,
+                }),
+            }]),
+            edges: Arc::new(Vec::new()),
         }
     }
 
     fn own_degree(&self) -> usize {
         self.nodes
-            .iter()
-            .find(|n| n.host == self.own)
-            .map(|n| n.degree)
+            .binary_search_by_key(&self.own, |n| n.host)
+            .map(|i| self.nodes[i].facts.degree)
             .unwrap_or(0)
     }
 
-    fn absorb(&mut self, msg: &FullGatherState) {
-        let edge = (self.own.min(msg.own), self.own.max(msg.own));
-        if !self.edges.contains(&edge) {
-            self.edges.push(edge);
-        }
-        for node in &msg.nodes {
-            if !self.nodes.iter().any(|n| n.host == node.host) {
-                self.nodes.push(node.clone());
+    /// Learns everything the `incoming` messages carry, in order, and the
+    /// edge to each sender. On a host already known — before the call or
+    /// from an earlier message — the record already held wins, so when one
+    /// round brings the same host under different forged identities, the
+    /// first in port order is kept. Shared knowledge is replaced at most
+    /// once per call, and only when something new arrives.
+    fn absorb<'m>(mut self, incoming: impl IntoIterator<Item = &'m FullGatherState>) -> Self {
+        let mut nodes: Option<Vec<HostInfo>> = None;
+        let mut edges: Option<Vec<(NodeId, NodeId)>> = None;
+        for msg in incoming {
+            let known = nodes.as_deref().unwrap_or(&self.nodes);
+            if let Some(merged) = merge_sorted(known, &msg.nodes, |n| n.host) {
+                nodes = Some(merged);
+            }
+            let known = edges.as_deref().unwrap_or(&self.edges);
+            if let Some(merged) = merge_sorted(known, &msg.edges, |&e| e) {
+                edges = Some(merged);
+            }
+            let link = (self.own.min(msg.own), self.own.max(msg.own));
+            if let Err(at) = edges.as_deref().unwrap_or(&self.edges).binary_search(&link) {
+                edges
+                    .get_or_insert_with(|| self.edges.to_vec())
+                    .insert(at, link);
             }
         }
-        for e in &msg.edges {
-            if !self.edges.contains(e) {
-                self.edges.push(*e);
-            }
+        if let Some(nodes) = nodes {
+            self.nodes = Arc::new(nodes);
         }
+        if let Some(edges) = edges {
+            self.edges = Arc::new(edges);
+        }
+        self
     }
 
     /// XORs `mask` into every known identity — the relabeling attack.
@@ -651,67 +736,93 @@ impl FullGatherState {
     /// injective, and disjoint from honest ones even across chains of
     /// Byzantine relays (XOR composes to another such mask).
     pub fn forge_ids(&mut self, mask: u64) {
-        for node in &mut self.nodes {
+        for node in Arc::make_mut(&mut self.nodes) {
             node.id ^= mask;
         }
     }
 
     /// Reconstructs the center's radius-`radius` view from the learned
     /// subgraph, bit-identically to [`View::collect`] /
-    /// [`View::collect_io`] on the host instance: the learned nodes are
-    /// indexed in host order (so BFS tie-breaking matches), ball members
-    /// are mapped back to their true host indices (so coin streams
-    /// match), and the center's true degree is restored (so radius-0
-    /// views report it correctly).
+    /// [`View::collect_io`] on the host instance, by one bounded BFS over
+    /// the learned edges. Known nodes are indexed in host order, so
+    /// sorting members by (distance, index) is [`Ball::extract`]'s
+    /// (distance, host) order; members carry their true host indices (so
+    /// coin streams match), and the center's true degree is restored (so
+    /// radius-0 views report it correctly).
     fn reconstruct_view(&self, radius: u32, with_outputs: bool) -> View {
-        let mut nodes = self.nodes.clone();
-        nodes.sort_by_key(|n| n.host);
-        let hosts: Vec<NodeId> = nodes.iter().map(|n| n.host).collect();
+        let nodes = &self.nodes[..];
         let index_of = |h: NodeId| {
-            hosts
-                .binary_search(&h)
+            nodes
+                .binary_search_by_key(&h, |n| n.host)
                 .expect("gather invariant: every edge endpoint is a known node")
         };
-        let mut builder = GraphBuilder::new(nodes.len());
-        for &(a, b) in &self.edges {
-            builder.add_edge(index_of(a), index_of(b));
-        }
-        let graph: Graph = builder.build();
-        let center = NodeId::from_index(index_of(self.own));
-        let mut ball = Ball::extract(&graph, center, radius);
-        let ids: Vec<u64> = ball.members.iter().map(|&m| nodes[m.index()].id).collect();
-        let inputs: Vec<Label> = ball
-            .members
+        // Learned edges over the host-ordered indices.
+        let ends: Vec<(usize, usize)> = self
+            .edges
             .iter()
-            .map(|&m| nodes[m.index()].input.clone())
+            .map(|&(a, b)| (index_of(a), index_of(b)))
             .collect();
-        let outputs: Option<Vec<Label>> = with_outputs.then(|| {
-            ball.members
+
+        // Bounded BFS, one sweep of the learned edges per level.
+        let center = index_of(self.own);
+        let mut dist = vec![u32::MAX; nodes.len()];
+        dist[center] = 0;
+        let mut order = vec![center];
+        for d in 0..radius {
+            let reached = order.len();
+            for &(a, b) in &ends {
+                if dist[a] == d && dist[b] == u32::MAX {
+                    dist[b] = d + 1;
+                    order.push(b);
+                } else if dist[b] == d && dist[a] == u32::MAX {
+                    dist[a] = d + 1;
+                    order.push(a);
+                }
+            }
+            if order.len() == reached {
+                break;
+            }
+        }
+        order.sort_unstable_by_key(|&u| (dist[u], u));
+
+        // The ball's own adjacency over local indices, without edges
+        // between two radius-`t` nodes (the paper's ball definition).
+        let local = |u: usize| order.binary_search_by_key(&(dist[u], u), |&w| (dist[w], w));
+        let mut builder = GraphBuilder::new(order.len());
+        for &(a, b) in &ends {
+            if let (Ok(la), Ok(lb)) = (local(a), local(b)) {
+                if dist[a] != radius || dist[b] != radius {
+                    builder.add_edge(la, lb);
+                }
+            }
+        }
+        let ball = Ball {
+            radius,
+            center: NodeId(0),
+            members: order.iter().map(|&u| nodes[u].host).collect(),
+            distances: order.iter().map(|&u| dist[u]).collect(),
+            graph: builder.build(),
+        };
+        let ids = order.iter().map(|&u| nodes[u].id).collect();
+        let inputs = order
+            .iter()
+            .map(|&u| nodes[u].facts.input.clone())
+            .collect();
+        let outputs = with_outputs.then(|| {
+            order
                 .iter()
-                .map(|&m| nodes[m.index()].output.clone())
+                .map(|&u| nodes[u].facts.output.clone())
                 .collect()
         });
-        let host_degree = nodes[center.index()].degree;
-        for m in &mut ball.members {
-            *m = nodes[m.index()].host;
-        }
+        let host_degree = nodes[center].facts.degree;
         View::from_parts(ball, self.own, radius, ids, inputs, outputs, host_degree)
     }
 }
 
 fn full_gather_send(state: &FullGatherState) -> Vec<FullGatherState> {
-    // Unbounded messages: the whole state on every port.
+    // Unbounded messages: the whole state on every port (shared, not
+    // copied).
     vec![state.clone(); state.own_degree()]
-}
-
-fn full_gather_receive(
-    mut state: FullGatherState,
-    incoming: &[FullGatherState],
-) -> FullGatherState {
-    for msg in incoming {
-        state.absorb(msg);
-    }
-    state
 }
 
 /// The host-keyed full-information gather for **randomized** (and, via the
@@ -753,7 +864,16 @@ impl<'a, A: RandomizedLocalAlgorithm + ?Sized> MessagePassingAlgorithm for Gathe
         _round: u32,
         incoming: &[FullGatherState],
     ) -> FullGatherState {
-        full_gather_receive(state, incoming)
+        state.absorb(incoming)
+    }
+
+    fn receive_partial(
+        &self,
+        state: FullGatherState,
+        _round: u32,
+        incoming: &[Option<FullGatherState>],
+    ) -> FullGatherState {
+        state.absorb(incoming.iter().flatten())
     }
 
     fn output(&self, state: &FullGatherState) -> Label {
@@ -807,7 +927,16 @@ impl<'a, D: RandomizedDecider + ?Sized> MessagePassingAlgorithm for GatherDecide
         _round: u32,
         incoming: &[FullGatherState],
     ) -> FullGatherState {
-        full_gather_receive(state, incoming)
+        state.absorb(incoming)
+    }
+
+    fn receive_partial(
+        &self,
+        state: FullGatherState,
+        _round: u32,
+        incoming: &[Option<FullGatherState>],
+    ) -> FullGatherState {
+        state.absorb(incoming.iter().flatten())
     }
 
     fn output(&self, state: &FullGatherState) -> Label {
@@ -1222,5 +1351,60 @@ mod tests {
             .with_adversary(&adversary)
             .run();
         assert_eq!(attacked, replay);
+    }
+
+    #[test]
+    fn conflicting_forged_identities_keep_the_first_in_port_order() {
+        // Host 3 reaches node 0 through both of its ports in one round,
+        // relayed by two Byzantine neighbors under different masks.
+        let init = |v: u32, degree: usize| {
+            FullGatherState::of(
+                &NodeInit {
+                    node: NodeId(v),
+                    id: 100 + u64::from(v),
+                    degree,
+                    input: Label::from_u64(u64::from(v)),
+                },
+                Label::empty(),
+            )
+        };
+        let id_of = |state: &FullGatherState, host: u32| {
+            state
+                .nodes
+                .iter()
+                .find(|n| n.host == NodeId(host))
+                .map(|n| n.id)
+        };
+        let far = init(3, 2);
+        let mut left = init(1, 2).absorb([&far]);
+        let mut right = init(2, 2).absorb([&far]);
+        left.forge_ids(1 << 40);
+        right.forge_ids(2 << 40);
+
+        let algo = FnAlgorithm::new(2, "center-id", |view: &View| {
+            Label::from_u64(view.center_id())
+        });
+        let gather = GatherRun::new(&algo, Coins::new(SeedSequence::new(0)));
+        let forward = gather.receive(init(0, 2), 1, &[left.clone(), right.clone()]);
+        assert_eq!(id_of(&forward, 3), Some(103 ^ (1 << 40)));
+        let backward = gather.receive(init(0, 2), 1, &[right.clone(), left.clone()]);
+        assert_eq!(id_of(&backward, 3), Some(103 ^ (2 << 40)));
+        // Silent ports are skipped, not counted: the same rule holds.
+        let partial =
+            gather.receive_partial(init(0, 2), 1, &[None, Some(right), Some(left.clone())]);
+        assert_eq!(id_of(&partial, 3), Some(103 ^ (2 << 40)));
+        for state in [&forward, &backward, &partial] {
+            assert_eq!(id_of(state, 0), Some(100), "a node keeps its own identity");
+            assert_eq!(
+                state.edges.len(),
+                4,
+                "links 0-1, 0-2 and the relayed 1-3, 2-3"
+            );
+        }
+
+        // A message that teaches nothing new leaves the knowledge shared.
+        let settled = forward.clone().absorb([&left]);
+        assert!(Arc::ptr_eq(&settled.nodes, &forward.nodes));
+        assert!(Arc::ptr_eq(&settled.edges, &forward.edges));
     }
 }

@@ -280,3 +280,76 @@ fn fault_schedules_are_pinned_at_seed_zero() {
     fingerprints.dedup();
     assert_eq!(fingerprints.len(), rlnc_core::FAULT_PLAN_KINDS);
 }
+
+/// 64-bit FNV-1a over a byte stream, folded into a running digest.
+fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Golden pin for **fault-injected** round executions: every registry
+/// case × every fault-plan kind × the three sweep families × eight trials
+/// at master seed 0, under the `fault-matrix` seed discipline
+/// (`trial.child(0)` schedule, `trial.child(1)` constructor coins,
+/// `trial.child(2)` decider coins). One FNV-1a digest covers the schedule
+/// fingerprints, every output labeling of `run_with_faults` (length-framed
+/// labels), and the decider verdicts, so any change in what faulty nodes
+/// learn, forge, or output moves it. The decision is also taken through
+/// the round backend's gathered views and must agree with the scratch.
+#[test]
+fn fault_injected_runs_match_the_golden_digest() {
+    let root = SeedSequence::new(0);
+    let mut digest = 0xcbf2_9ce4_8422_2325u64;
+    for id in CaseId::ALL {
+        let case = id.case();
+        for family in SWEEP_FAMILIES {
+            let (graph, input, ids) = case_instance_parts(&case, family, 16, 0);
+            let instance = Instance::new(&graph, &input, &ids);
+            let round_plan = RoundPlan::for_instance(&instance, case.constructor_radius());
+            let decision_plan = ExecutionPlan::for_instance(&instance, case.checking_radius());
+            let mut scratch = decision_plan.decision_scratch();
+            let decision_round_plan = RoundPlan::for_instance(&instance, case.checking_radius());
+            for kind in 0..rlnc_core::FAULT_PLAN_KINDS {
+                let plan = FaultPlan::from_index(kind, 0.35);
+                for trial in 0..8u64 {
+                    let trial_seed = root.child(trial);
+                    let schedule = plan.schedule(&graph, trial_seed.child(0));
+                    let output = round_plan.run_with_faults(
+                        case.constructor.as_ref(),
+                        trial_seed.child(1),
+                        &schedule,
+                    );
+                    let verdict = scratch.decide_randomized(
+                        case.decider.as_ref(),
+                        &output,
+                        trial_seed.child(2),
+                    );
+                    assert_eq!(
+                        decision_round_plan.decide_randomized(
+                            case.decider.as_ref(),
+                            &output,
+                            trial_seed.child(2)
+                        ),
+                        verdict,
+                        "case {} plan {} trial {trial} verdict",
+                        case.name,
+                        plan.name()
+                    );
+                    digest = fnv1a(digest, &schedule.fingerprint().to_le_bytes());
+                    for label in output.as_slice() {
+                        digest = fnv1a(digest, &(label.len() as u64).to_le_bytes());
+                        digest = fnv1a(digest, label.as_bytes());
+                    }
+                    digest = fnv1a(digest, &[u8::from(verdict)]);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        digest, 0x4f1d_f04e_346f_d75c,
+        "fault-injected golden digest moved"
+    );
+}

@@ -28,7 +28,9 @@
 //! Record lines embed the exact [`record_json`] byte form, so a client
 //! that reassembles the stream re-exports documents byte-identical to a
 //! local run. Errors come back as `{"type":"error","message":...}` and
-//! never tear down the connection.
+//! never tear down the connection. A request line longer than
+//! [`MAX_REQUEST_LINE`](crate::server::MAX_REQUEST_LINE) bytes is answered
+//! with one error and skipped up to its `\n`.
 
 use crate::shard::ShardSpec;
 use rlnc_par::Scale;

@@ -46,6 +46,11 @@ static OBS_ERRORS: LazyCounter = LazyCounter::new("serve.errors", Section::Deter
 /// shutdown flag; also the accept loop's poll interval.
 const POLL_INTERVAL: Duration = Duration::from_millis(50);
 
+/// Longest request line the server accepts, in bytes without the `\n`.
+/// Real requests are well under a kilobyte; the cap keeps a client that
+/// never sends `\n` from growing the server's memory without bound.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// Where the service listens: a filesystem Unix socket or a TCP address.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Endpoint {
@@ -404,20 +409,16 @@ impl SweepServer {
         let mut writer = conn.try_clone()?;
         let mut reader = BufReader::new(conn);
         // The accumulator persists across read timeouts so a request line
-        // arriving in pieces is never truncated: read_line appends to it
-        // and only a terminal '\n' dispatches.
-        let mut line = String::new();
+        // arriving in pieces is never truncated: only a terminal '\n'
+        // dispatches. It never grows past MAX_REQUEST_LINE: a longer line
+        // is answered with one error as soon as it overflows, and the rest
+        // of it is discarded up to its '\n'.
+        let mut line: Vec<u8> = Vec::new();
+        let mut discarding = false;
         loop {
-            match reader.read_line(&mut line) {
-                Ok(0) => return Ok(()), // client EOF
-                Ok(_) if line.ends_with('\n') => {
-                    let trimmed = line.trim();
-                    if !trimmed.is_empty() && !self.dispatch(&mut writer, trimmed)? {
-                        return Ok(());
-                    }
-                    line.clear();
-                }
-                Ok(_) => {} // partial final line; next read returns 0
+            let chunk = match reader.fill_buf() {
+                Ok([]) => return Ok(()), // client EOF (a partial line is dropped)
+                Ok(chunk) => chunk,
                 Err(e)
                     if e.kind() == io::ErrorKind::WouldBlock
                         || e.kind() == io::ErrorKind::TimedOut =>
@@ -425,10 +426,40 @@ impl SweepServer {
                     if self.shutdown.load(Ordering::Acquire) {
                         return Ok(());
                     }
+                    continue;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
+            };
+            let newline = chunk.iter().position(|&b| b == b'\n');
+            let piece = &chunk[..newline.unwrap_or(chunk.len())];
+            if !discarding {
+                if line.len() + piece.len() > MAX_REQUEST_LINE {
+                    discarding = true;
+                    line.clear();
+                    self.send_error(
+                        &mut writer,
+                        format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                    )?;
+                } else {
+                    line.extend_from_slice(piece);
+                }
             }
+            let consumed = newline.map_or(chunk.len(), |i| i + 1);
+            reader.consume(consumed);
+            if newline.is_none() || std::mem::take(&mut discarding) {
+                continue;
+            }
+            match std::str::from_utf8(&line) {
+                Ok(text) => {
+                    let trimmed = text.trim();
+                    if !trimmed.is_empty() && !self.dispatch(&mut writer, trimmed)? {
+                        return Ok(());
+                    }
+                }
+                Err(_) => self.send_error(&mut writer, "request line is not valid UTF-8".into())?,
+            }
+            line.clear();
         }
     }
 }

@@ -159,3 +159,60 @@ fn scenario_listing_and_request_errors_keep_the_connection_usable() {
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread").expect("serve exits cleanly");
 }
+
+#[test]
+fn an_over_long_request_line_is_refused_and_the_connection_stays_usable() {
+    use rlnc_serve::server::MAX_REQUEST_LINE;
+    use rlnc_serve::Response;
+    use std::io::{BufRead, BufReader, Write};
+
+    let (endpoint, handle) = start(temp_socket("long-line"));
+    let Endpoint::Unix(path) = &endpoint else {
+        unreachable!("a Unix endpoint was requested")
+    };
+    let mut stream = std::os::unix::net::UnixStream::connect(path).expect("connect");
+    let mut replies = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut next_reply = || {
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("read reply");
+        Response::from_json(line.trim_end()).expect("parse reply")
+    };
+
+    // The over-long line and a valid request share one write, so the
+    // server must discard exactly up to the first '\n' and no further.
+    let mut bytes = vec![b'x'; MAX_REQUEST_LINE + 4096];
+    bytes.extend_from_slice(b"\n{\"cmd\":\"status\"}\n");
+    stream.write_all(&bytes).expect("send");
+    match next_reply() {
+        Response::Error { message } => {
+            assert!(message.contains("exceeds"), "unexpected error: {message}")
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+    match next_reply() {
+        Response::Status(status) => assert_eq!(status.errors, 1, "{status:?}"),
+        other => panic!("expected a status reply, got {other:?}"),
+    }
+
+    // A line of exactly the limit is still dispatched (and is a bad
+    // request, not an over-long one).
+    let mut bytes = vec![b' '; MAX_REQUEST_LINE - 1];
+    bytes.extend_from_slice(b"x\n");
+    stream.write_all(&bytes).expect("send");
+    match next_reply() {
+        Response::Error { message } => {
+            assert!(
+                message.starts_with("bad request"),
+                "unexpected error: {message}"
+            )
+        }
+        other => panic!("expected an error reply, got {other:?}"),
+    }
+
+    stream.write_all(b"{\"cmd\":\"shutdown\"}\n").expect("send");
+    assert!(matches!(next_reply(), Response::ShuttingDown));
+    handle
+        .join()
+        .expect("server thread")
+        .expect("serve exits cleanly");
+}

@@ -215,12 +215,16 @@ impl SweepExecutor {
             })
             .collect();
 
-        let computed = self.compute_points(spec, &todo, scenario_seq);
-
+        // `todo` is a subsequence of `points`, so the computed records
+        // slot back in grid order.
+        let mut computed = self
+            .compute_points(spec, &todo, scenario_seq)
+            .into_iter()
+            .peekable();
         let records = points
             .iter()
-            .map(|p| match computed.get(&p.index) {
-                Some(r) => r.clone(),
+            .map(|p| match computed.next_if(|r| r.point == p.index) {
+                Some(r) => r,
                 None => (*reusable[&p.index]).clone(),
             })
             .collect();
@@ -276,7 +280,7 @@ impl SweepExecutor {
                 Some(r) if record_matches_point(r, p, scenario_seq, spec) => (*r).clone(),
                 _ => self
                     .compute_points(spec, &[p], scenario_seq)
-                    .remove(&p.index)
+                    .pop()
                     .expect("compute_points yields a record per todo point"),
             };
             on_record(record)?;
@@ -288,13 +292,13 @@ impl SweepExecutor {
     /// The execution core shared by [`resume_where`](Self::resume_where)
     /// and [`stream_where`](Self::stream_where): per-point setup, parallel
     /// trial batches, and the schedule-independent fold into
-    /// [`RunRecord`]s, keyed by grid-point index.
+    /// [`RunRecord`]s, one per `todo` point in `todo` order.
     fn compute_points(
         &self,
         spec: &ScenarioSpec,
         todo: &[&GridPoint],
         scenario_seq: SeedSequence,
-    ) -> HashMap<u64, RunRecord> {
+    ) -> Vec<RunRecord> {
         // Per-point setup once; trial batches share it read-only.
         let prepared: Vec<_> = todo
             .iter()
@@ -330,7 +334,7 @@ impl SweepExecutor {
         let total_points = prepared.len();
 
         let run_item = |&(slot, ref range): &(usize, std::ops::Range<usize>)| {
-            let (_, point_seq, prep) = &prepared[slot];
+            let (p, point_seq, prep) = &prepared[slot];
             let trial_root = point_seq.child(1);
             let mut scratch = prep.scratch();
             let mut successes = 0u64;
@@ -339,6 +343,14 @@ impl SweepExecutor {
                 let outcome = prep.run_trial_with(&mut scratch, trial_root.child(trial as u64));
                 successes += u64::from(outcome.success);
                 values.push(outcome.value);
+            }
+            // A range that covers its whole point hands back the point's
+            // sum instead of one value per trial, so points with a single
+            // range (trials <= batch) hold 8 bytes, not 8 per trial, until
+            // the records are built. Summing the one-element `[sum]` again
+            // below gives back `sum` bit for bit.
+            if range.len() as u64 == p.trials {
+                values = vec![values.iter().sum()];
             }
             if let Some((remaining, done)) = &progress {
                 if remaining[slot].fetch_sub(1, Ordering::AcqRel) == 1 {
@@ -375,7 +387,7 @@ impl SweepExecutor {
             .enumerate()
             .map(|(slot, (p, point_seq, _))| {
                 let est = Estimate::from_counts(successes[slot], p.trials);
-                let record = RunRecord {
+                RunRecord {
                     scenario: spec.name.clone(),
                     point: p.index,
                     family: p.family.name().to_string(),
@@ -391,8 +403,7 @@ impl SweepExecutor {
                     lower: est.lower,
                     upper: est.upper,
                     mean_value: value_sums[slot] / p.trials as f64,
-                };
-                (p.index, record)
+                }
             })
             .collect()
     }
