@@ -50,9 +50,11 @@ impl Simulator {
         Simulator { parallel: true }
     }
 
-    /// Forces sequential per-node evaluation. Rarely needed now that
-    /// [`Simulator::new`] detects nested parallel contexts automatically;
-    /// kept for debugging and for pinning down scheduling in tests.
+    /// Forces sequential per-node evaluation. [`Simulator::new`] already
+    /// runs inline inside a parallel region; use this where the caller
+    /// owns parallelism at a coarser level but may run on a plain thread
+    /// (a sweep trial under the sequential executor), so per-node work
+    /// never fans out on its own.
     pub fn sequential() -> Self {
         Simulator { parallel: false }
     }

@@ -222,6 +222,12 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
 /// model with restarts (pairings producing loops or multi-edges are
 /// rejected and the whole pairing is resampled).
 ///
+/// Every restart shuffles the full stub list (`n·d − 1` RNG draws) before
+/// checking the pairing, so the number of values drawn is a function of
+/// the restarts alone. The stub list and a flat `n × d` adjacency are
+/// allocated once and reused across restarts; a simple pairing fills every
+/// row, so the CSR is the adjacency with each row sorted.
+///
 /// # Panics
 /// Panics if `n * d` is odd, if `d >= n`, or if no simple pairing is found
 /// after a large number of restarts (practically impossible for the sizes
@@ -232,21 +238,38 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Graph
     if d == 0 {
         return Graph::empty(n);
     }
+    let slots = u32::try_from(n * d).expect("edge count exceeds u32::MAX");
+    let mut stubs = vec![0u32; n * d];
+    // Row `v` is `adjacency[v * d..(v + 1) * d]`, of which the first
+    // `fill[v]` entries are set.
+    let mut adjacency = vec![0u32; n * d];
+    let mut fill = vec![0usize; n];
     'restart: for _ in 0..10_000 {
-        let mut stubs: Vec<usize> = (0..n).flat_map(|v| std::iter::repeat(v).take(d)).collect();
+        for (slot, stub) in (0..slots).zip(stubs.iter_mut()) {
+            *stub = slot / d as u32;
+        }
         stubs.shuffle(rng);
-        let mut b = GraphBuilder::new(n);
+        fill.fill(0);
         for pair in stubs.chunks_exact(2) {
-            let (u, v) = (pair[0], pair[1]);
-            if u == v || b.has_edge(u, v) {
+            let (u, v) = (pair[0] as usize, pair[1] as usize);
+            if u == v || adjacency[u * d..u * d + fill[u]].contains(&pair[1]) {
                 continue 'restart;
             }
-            b.add_edge(u, v);
+            adjacency[u * d + fill[u]] = pair[1];
+            adjacency[v * d + fill[v]] = pair[0];
+            fill[u] += 1;
+            fill[v] += 1;
         }
-        let g = b.build();
+        for row in adjacency.chunks_exact_mut(d) {
+            row.sort_unstable();
+        }
+        let offsets = (0..=slots).step_by(d).collect();
+        let g = Graph::from_csr(offsets, std::mem::take(&mut adjacency));
+        debug_assert!(g.validate().is_ok());
         if is_connected(&g) {
             return g;
         }
+        adjacency = vec![0u32; n * d];
     }
     panic!("failed to generate a connected {d}-regular graph on {n} nodes");
 }

@@ -5,6 +5,15 @@
 //! Monte-Carlo estimate. [`sweep`] evaluates the grid in parallel while
 //! keeping the output in input order, and [`grid2`]/[`grid3`] build the
 //! cartesian products.
+//!
+//! Two dispatch shapes exist. [`sweep`] cuts its input into two contiguous
+//! chunks per pool thread, which keeps per-task overhead low for many
+//! fine-grained items. [`sweep_per_item`] makes every item its own pool
+//! task, for a few coarse items of uneven cost (the sweep executor's
+//! `(grid point, trial range)` items) that contiguous chunks would leave on
+//! one worker. It goes through `IndexedParallelIterator::with_max_len(1)`,
+//! which is upstream rayon API, so it needs no patch when the vendored
+//! stub is swapped back for crates.io `rayon`.
 
 use rayon::prelude::*;
 
@@ -16,6 +25,17 @@ where
     F: Fn(&C) -> T + Sync,
 {
     configs.par_iter().map(|c| f(c)).collect()
+}
+
+/// Evaluates `f` on every item as its own pool task, preserving order.
+/// Results are identical to [`sweep`]; only the load balance differs.
+pub fn sweep_per_item<C, T, F>(items: &[C], f: F) -> Vec<T>
+where
+    C: Sync,
+    T: Send,
+    F: Fn(&C) -> T + Sync,
+{
+    items.par_iter().with_max_len(1).map(f).collect()
 }
 
 /// Evaluates `f` sequentially (for nested sweeps where the inner level is
@@ -98,6 +118,7 @@ mod tests {
         let configs: Vec<u64> = (0..100).collect();
         let out = sweep(configs.clone(), |&c| c * c);
         assert_eq!(out, configs.iter().map(|c| c * c).collect::<Vec<_>>());
+        assert_eq!(sweep_per_item(&configs, |&c| c * c), out);
         let seq = sweep_sequential(configs.clone(), |&c| c + 1);
         assert_eq!(seq[0], 1);
         assert_eq!(seq[99], 100);

@@ -23,7 +23,7 @@ use crate::spec::{GridPoint, ScenarioSpec};
 use rlnc_obs::{LazyCounter, LazySpan, Section};
 use rlnc_par::rng::SeedSequence;
 use rlnc_par::stats::Estimate;
-use rlnc_par::sweep::{balanced_ranges, sweep, sweep_sequential};
+use rlnc_par::sweep::{balanced_ranges, sweep_per_item};
 use rlnc_par::Scale;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -360,10 +360,14 @@ impl SweepExecutor {
             }
             (slot, successes, values)
         };
+        // One pool task per item: items differ in cost by orders of
+        // magnitude (a regenerated-graph point next to a cached-plan one),
+        // so the default two contiguous chunks per thread can leave one
+        // worker holding most of the work.
         let partials: Vec<(usize, u64, Vec<f64>)> = if self.parallel {
-            sweep(items, run_item)
+            sweep_per_item(&items, run_item)
         } else {
-            sweep_sequential(items, run_item)
+            items.iter().map(run_item).collect()
         };
 
         // Items arrive in submission order (ascending trial ranges per

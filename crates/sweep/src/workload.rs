@@ -840,7 +840,7 @@ impl Prepared {
                                 }
                             };
                         let inst = Instance::new(graph, input, ids);
-                        Simulator::new().run_randomized(&algo, &inst, seed.child(2))
+                        Simulator::sequential().run_randomized(&algo, &inst, seed.child(2))
                     }
                 };
                 let actual_n = graph.node_count();

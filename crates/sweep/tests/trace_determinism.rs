@@ -24,6 +24,14 @@
 
 use rlnc_sweep::{Registry, SweepExecutor};
 
+/// The scenarios both legs pin.
+const SCENARIOS: [&str; 4] = [
+    "fault-matrix",
+    "language-matrix",
+    "claim2-scan",
+    "slack-topologies",
+];
+
 /// Runs `configure(executor)` over `scenario` with a clean registry and
 /// returns the deterministic section's canonical JSON.
 fn deterministic_json(
@@ -47,8 +55,9 @@ fn deterministic_json(
 fn deterministic_section_is_schedule_independent() {
     // fault-matrix exercises rounds + faults + engine; language-matrix
     // exercises the registry-driven plan-cache path; claim2-scan
-    // exercises the batched multi-algorithm kernel and the arena lanes.
-    for scenario in ["fault-matrix", "language-matrix", "claim2-scan"] {
+    // exercises the batched multi-algorithm kernel and the arena lanes;
+    // slack-topologies regenerates random graphs on every trial.
+    for scenario in SCENARIOS {
         let parallel = deterministic_json(scenario, |e| e);
         let sequential = deterministic_json(scenario, |e| e.sequential());
         let odd_batch = deterministic_json(scenario, |e| e.with_batch(7));
@@ -68,7 +77,7 @@ fn deterministic_section_is_schedule_independent() {
 
 /// Subprocess body: only runs when re-executed by
 /// `exports_are_byte_identical_across_thread_counts` with the guard
-/// variable set. Runs both scenarios twice (the second pass hits the
+/// variable set. Runs every scenario twice (the second pass hits the
 /// already-warm pool), asserts the bytes are identical, and writes the
 /// combined sweep-export + deterministic-trace document to the path in
 /// `RLNC_TRACE_OUT`.
@@ -81,7 +90,7 @@ fn child_emit_export_and_trace() {
     let emit_once = || {
         let registry = Registry::builtin();
         let mut combined = String::new();
-        for scenario in ["fault-matrix", "language-matrix", "claim2-scan"] {
+        for scenario in SCENARIOS {
             let spec = registry.get(scenario).expect("scenario exists");
             let executor = SweepExecutor::new(rlnc_par::Scale::Smoke).with_seed(5);
             rlnc_obs::reset();
